@@ -1,15 +1,18 @@
 // E9 — The storage-community metrics the paper says consensus should adopt (§2): MTTF / MTTDL
 // / steady-state availability from Markov repair models, computed for consensus clusters.
+// Each cluster is a single-class FleetModel: the birth-death chain over failed-node counts,
+// with per-node repair (one repair server per node).
 //
 // Mirrors Zorfu's "mean time to more than f failures" analysis and the RAID MTTDL
 // calculations (Patterson et al.) the paper cites, with lambda taken from AFR-style fault
 // curves and a configurable repair rate mu.
 
 #include <cstdio>
+#include <utility>
 
 #include "bench/bench_util.h"
 #include "src/faultmodel/afr.h"
-#include "src/markov/repair_model.h"
+#include "src/lifecycle/fleet_model.h"
 
 namespace probcon {
 namespace {
@@ -26,6 +29,15 @@ std::string Hours(double h) {
   return buffer;
 }
 
+// Raft cluster of n nodes failing at `lambda`, each repaired independently at `mu`.
+FleetModel RaftCluster(int n, double lambda, double mu) {
+  FleetParams params;
+  params.classes = {{.count = n, .failure_rate = lambda}};
+  params.repair_rate = mu;
+  params.repair_servers = n;
+  return FleetModel(std::move(params), FleetProtocol::kRaft);
+}
+
 void Run() {
   bench::PrintBanner("E9", "MTTF / MTTDL / availability for consensus clusters with repair");
 
@@ -36,16 +48,10 @@ void Run() {
   bench::Table table({"cluster", "MTTU (liveness outage)", "MTT all-replicas-down",
                       "steady-state availability"});
   for (const int n : {3, 5, 7, 9}) {
-    RepairModelParams params;
-    params.n = n;
-    params.failure_rate = lambda;
-    params.repair_rate = mu;
-    params.repair_servers = n;
-    const ConsensusRepairModel model(params);
-    const int quorum = n / 2 + 1;
-    const auto mttu = model.MeanTimeToUnavailability(quorum);
-    const auto wipe = model.MeanTimeToQuorumLoss(n);
-    const auto availability = model.SteadyStateAvailability(quorum);
+    const FleetModel model = RaftCluster(n, lambda, mu);
+    const auto mttu = model.TryMeanTimeToUnavailability(false, {});
+    const auto wipe = model.TryMeanTimeToQuorumLoss(n, {});
+    const auto availability = model.TrySteadyStateAvailability(false, {});
     table.AddRow({"raft n=" + std::to_string(n), mttu.ok() ? Hours(*mttu) : "-",
                   wipe.ok() ? Hours(*wipe) : "-",
                   availability.ok() ? FormatPercent(*availability) : "-"});
@@ -55,14 +61,9 @@ void Run() {
   std::printf("\nrepair-rate sensitivity (n=5, quorum=3, AFR=4%%):\n");
   bench::Table sensitivity({"repair time", "MTTU", "availability"});
   for (const double hours : {1.0, 12.0, 72.0, 24.0 * 30}) {
-    RepairModelParams params;
-    params.n = 5;
-    params.failure_rate = lambda;
-    params.repair_rate = 1.0 / hours;
-    params.repair_servers = 5;
-    const ConsensusRepairModel model(params);
-    const auto mttu = model.MeanTimeToUnavailability(3);
-    const auto availability = model.SteadyStateAvailability(3);
+    const FleetModel model = RaftCluster(5, lambda, 1.0 / hours);
+    const auto mttu = model.TryMeanTimeToUnavailability(false, {});
+    const auto availability = model.TrySteadyStateAvailability(false, {});
     char label[32];
     std::snprintf(label, sizeof(label), "%.0f h", hours);
     sensitivity.AddRow({label, mttu.ok() ? Hours(*mttu) : "-",
@@ -72,18 +73,15 @@ void Run() {
 
   std::printf("\nmission-window risk, n=5 AFR=4%% repair=12h (transient analysis):\n");
   bench::Table transient({"mission", "P(liveness outage within mission)"});
-  RepairModelParams params;
-  params.n = 5;
-  params.failure_rate = lambda;
-  params.repair_rate = 1.0 / 12.0;
-  params.repair_servers = 5;
-  const ConsensusRepairModel model(params);
+  const FleetModel model = RaftCluster(5, lambda, 1.0 / 12.0);
   for (const double days : {30.0, 90.0, 365.25, 3 * 365.25}) {
     char label[32];
     std::snprintf(label, sizeof(label), "%.0f days", days);
-    char risk[32];
-    std::snprintf(risk, sizeof(risk), "%.3g",
-                  model.UnavailabilityWithin(3, days * 24.0).value());
+    const auto reliability = model.TryMissionReliability(days * 24.0, false, {});
+    char risk[32] = "-";
+    if (reliability.ok()) {
+      std::snprintf(risk, sizeof(risk), "%.3g", reliability->complement());
+    }
     transient.AddRow({label, risk});
   }
   transient.Print();

@@ -175,7 +175,7 @@ Result<Probability> FleetModel::TrySteadyStateAvailability(
     bool reconfiguration, const CtmcSolveOptions& options) const {
   if (params_.repair_rate == 0.0) {
     // Without repair every trajectory eventually drains below quorum and stays there: the
-    // long-run live fraction is zero (same convention as ConsensusRepairModel).
+    // long-run live fraction is zero.
     return Probability::Zero();
   }
   const Ctmc chain = BuildChain(nullptr);

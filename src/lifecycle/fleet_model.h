@@ -13,8 +13,9 @@
 // of `repair_servers` technicians, each completing at rate mu; with K = sum(k_c) failed, the
 // pool runs min(K, S) concurrent repairs allocated proportionally to per-class backlogs
 // (rate toward class c: min(K, S) * mu * k_c / K). When S >= total nodes this degenerates to
-// independent per-node repair at k_c * mu, which is how the homogeneous single-class model
-// reduces exactly to ConsensusRepairModel with repair_servers = n.
+// independent per-node repair at k_c * mu. A single class is the classic birth-death repair
+// model of the storage MTTF/MTTDL literature: with k failed, failures at (n - k) * lambda and
+// repairs at min(k, S) * mu.
 //
 // Lumping assumption. A class's failure law is exponential with the hazard frozen at the
 // class's current age (FleetClass::FromCurve evaluates h(age) once). That is the same
@@ -68,8 +69,8 @@ struct FleetParams {
   int repair_servers = 1;    // Size of the shared repair pool (>= 1).
 };
 
-// Hard cap on the lumped state count (memory: the dense generator is m^2 doubles; time: the
-// direct solves are O(m^3)). The serving layer enforces a tighter per-request cap.
+// Hard cap on the lumped state count (memory: the direct solves assemble a dense m^2 system;
+// time: factoring it is O(m^3)). The serving layer enforces a tighter per-request cap.
 inline constexpr int kMaxFleetStates = 4096;
 
 class FleetModel {
@@ -93,8 +94,8 @@ class FleetModel {
   bool IsLiveDuringReconfiguration(const std::vector<int>& failed) const;
 
   // Long-run P(live) of the always-repairing chain. Zero when repair is disabled (every
-  // trajectory eventually drains past the quorum with no way back up at the boundary — the
-  // same convention as ConsensusRepairModel). `reconfiguration` selects the joint predicate.
+  // trajectory eventually drains past the quorum with no way back up at the boundary).
+  // `reconfiguration` selects the joint predicate.
   Result<Probability> TrySteadyStateAvailability(bool reconfiguration,
                                                  const CtmcSolveOptions& options) const;
 

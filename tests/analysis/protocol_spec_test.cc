@@ -1,6 +1,7 @@
 #include "src/analysis/protocol_spec.h"
 
 #include <cmath>
+#include <ostream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -78,6 +79,10 @@ struct Table1Row {
   double live_complement;
 };
 
+// Names each cell by its parameters; gtest would otherwise print the raw bytes, padding
+// included, and the test ids would change from build to build.
+void PrintTo(const Table1Row& row, std::ostream* os) { *os << "N=" << row.n; }
+
 class Table1Test : public ::testing::TestWithParam<Table1Row> {};
 
 TEST_P(Table1Test, CellReproduces) {
@@ -111,6 +116,10 @@ struct Table2Cell {
   double p;
   const char* expected;  // The paper's printed cell.
 };
+
+void PrintTo(const Table2Cell& cell, std::ostream* os) {
+  *os << "N=" << cell.n << ",p=" << cell.p;
+}
 
 class Table2Test : public ::testing::TestWithParam<Table2Cell> {};
 

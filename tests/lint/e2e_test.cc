@@ -9,6 +9,9 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <string>
+
+#include <unistd.h>
 
 #include "tools/lint/baseline.h"
 #include "tools/lint/driver.h"
@@ -23,7 +26,12 @@ namespace fs = std::filesystem;
 class LintE2eTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    root_ = fs::path(::testing::TempDir()) / "probcon_lint_e2e";
+    // One tree per test and process: ctest runs each case as its own process, possibly
+    // concurrently, and a shared tree would be deleted under a running case.
+    root_ = fs::path(::testing::TempDir()) /
+            ("probcon_lint_e2e_" +
+             std::string(::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+             "_" + std::to_string(getpid()));
     fs::remove_all(root_);
     const fs::path fixtures(PROBCON_LINT_FIXTURE_DIR);
     ASSERT_TRUE(fs::is_directory(fixtures)) << fixtures;
