@@ -8,10 +8,14 @@
 #ifndef PROBCON_BENCH_BENCH_UTIL_H_
 #define PROBCON_BENCH_BENCH_UTIL_H_
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "bench_git_sha.h"  // Generated per build: PROBCON_BENCH_GIT_SHA.
 
 namespace probcon::bench {
 
@@ -94,9 +98,27 @@ inline std::string JsonEscape(const std::string& text) {
   return out;
 }
 
+// Where a measurement was taken, as a JSON object: processor count, compiler, build type
+// and the source commit the binary was built from. Every committed BENCH file starts with
+// it, so a before/after pair can be checked for coming from one host and build.
+inline std::string EnvJson() {
+#if defined(__clang__)
+  const std::string compiler = std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = std::string("gcc ") + __VERSION__;
+#else
+  const std::string compiler = "unknown";
+#endif
+  return "{\"nproc\": " + std::to_string(sysconf(_SC_NPROCESSORS_ONLN)) +
+         ", \"compiler\": \"" + JsonEscape(compiler) + "\", \"build_type\": \"" +
+         JsonEscape(PROBCON_BENCH_BUILD_TYPE) + "\", \"git_sha\": \"" +
+         JsonEscape(PROBCON_BENCH_GIT_SHA) + "\"}";
+}
+
 // Collects named tables and scalars from one harness run and renders them as a single
-// JSON document: {"tables": {name: {"header": [...], "rows": [[...]]}}, "values": {...}}.
-// Insertion order is preserved, so identical runs produce byte-identical files.
+// JSON document: {"env": {...}, "tables": {name: {"header": [...], "rows": [[...]]}},
+// "values": {...}}. Insertion order is preserved, so identical runs on one build produce
+// byte-identical files.
 class JsonReport {
  public:
   void AddTable(const std::string& name, const Table& table) {
@@ -124,7 +146,7 @@ class JsonReport {
   }
 
   std::string ToJson() const {
-    std::string json = "{\n  \"tables\": {";
+    std::string json = "{\n  \"env\": " + EnvJson() + ",\n  \"tables\": {";
     for (size_t i = 0; i < tables_.size(); ++i) {
       json += (i > 0 ? ",\n    " : "\n    ") + Quote(tables_[i].first) + ": " +
               tables_[i].second;

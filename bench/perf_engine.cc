@@ -197,7 +197,8 @@ class JsonCapturingReporter : public benchmark::ConsoleReporter {
     benchmark::ConsoleReporter::ReportRuns(reports);
   }
 
-  // {"benchmarks": {name: {"ns_per_op": x, "threads": t, "speedup_vs_1_thread": s}}}.
+  // {"env": {...}, "benchmarks": {name: {"ns_per_op": x, "threads": t,
+  // "speedup_vs_1_thread": s}}}, env as in bench_util.h's EnvJson.
   // `threads` is the ScopedThreadPool argument for BM_*Threads runs (0 otherwise), and
   // speedup is measured against the same benchmark's 1-worker run.
   std::string ToJson() const {
@@ -207,7 +208,7 @@ class JsonCapturingReporter : public benchmark::ConsoleReporter {
         one_thread_ns[BaseName(name)] = ns;
       }
     }
-    std::string json = "{\n  \"benchmarks\": {";
+    std::string json = "{\n  \"env\": " + bench::EnvJson() + ",\n  \"benchmarks\": {";
     for (size_t i = 0; i < runs_.size(); ++i) {
       const auto& [name, ns] = runs_[i];
       const int threads = ThreadArg(name);

@@ -11,13 +11,11 @@ namespace {
 
 // Decodes assignment index `index` (base-r digits, node 0 least significant — the same
 // order the sequential odometer visited) into rack_of form.
-std::vector<int> DecodeAssignment(uint64_t index, int n, int racks) {
-  std::vector<int> assignment(static_cast<size_t>(n));
-  for (int node = 0; node < n; ++node) {
-    assignment[static_cast<size_t>(node)] = static_cast<int>(index % static_cast<uint64_t>(racks));
+void DecodeAssignment(uint64_t index, int racks, std::vector<int>* assignment) {
+  for (int& rack : *assignment) {
+    rack = static_cast<int>(index % static_cast<uint64_t>(racks));
     index /= static_cast<uint64_t>(racks);
   }
-  return assignment;
 }
 
 struct BestAssignment {
@@ -26,6 +24,7 @@ struct BestAssignment {
   bool valid = false;
 };
 
+// Assignments per chunk: the unit of parallel work and of cancellation polling.
 constexpr uint64_t kPlacementChunk = 64;
 
 }  // namespace
@@ -41,8 +40,10 @@ Probability EvaluateRackPlacement(const std::vector<double>& node_base_probabili
   return AnalyzeRaft(RaftConfig::Standard(n), analyzer).safe_and_live;
 }
 
-PlacementResult OptimizeRackPlacement(const std::vector<double>& node_base_probabilities,
-                                      const std::vector<double>& rack_probabilities) {
+Result<PlacementResult> TryOptimizeRackPlacement(
+    const std::vector<double>& node_base_probabilities,
+    const std::vector<double>& rack_probabilities, const CancelToken* cancel,
+    std::atomic<uint64_t>* progress) {
   const int n = static_cast<int>(node_base_probabilities.size());
   const int racks = static_cast<int>(rack_probabilities.size());
   CHECK(n >= 1 && n <= 10) << "exhaustive placement search limited to n <= 10";
@@ -52,6 +53,11 @@ PlacementResult OptimizeRackPlacement(const std::vector<double>& node_base_proba
   for (int i = 0; i < n; ++i) {
     total *= static_cast<uint64_t>(racks);
   }
+  // Standard Raft is structurally safe, so an assignment's safe-and-live probability is
+  // its liveness probability: the exact enumeration AnalyzeRaft runs (EvaluateRackPlacement
+  // above), here on one model per chunk that each assignment reassigns in place.
+  const RaftConfig config = RaftConfig::Standard(n);
+  CHECK(RaftIsSafeStructurally(config));
   // Chunked argmax over the r^n assignment space. Per-chunk winners keep the earliest
   // index among equals (strict > to replace), and chunks merge in ascending order with a
   // strict < comparison, so ties resolve to the lowest assignment index — exactly the
@@ -60,11 +66,20 @@ PlacementResult OptimizeRackPlacement(const std::vector<double>& node_base_proba
       0, total, kPlacementChunk, BestAssignment{},
       [&](uint64_t chunk_begin, uint64_t chunk_end, uint64_t /*chunk_index*/) {
         BestAssignment chunk_best;
+        if (IsCancelled(cancel)) {
+          return chunk_best;
+        }
+        std::vector<int> rack_of(static_cast<size_t>(n), 0);
+        FailureDomainModel model(node_base_probabilities, rack_of, rack_probabilities);
+        const CountPredicate live = MakeRaftLivePredicate(config);
         for (uint64_t index = chunk_begin; index < chunk_end; ++index) {
-          const Probability candidate = EvaluateRackPlacement(
-              node_base_probabilities, rack_probabilities, DecodeAssignment(index, n, racks));
-          if (!chunk_best.valid || chunk_best.safe_and_live < candidate) {
-            chunk_best.safe_and_live = candidate;
+          DecodeAssignment(index, racks, &rack_of);
+          model.Reassign(rack_of);
+          const Result<Probability> candidate =
+              TryExactEventProbability(model, live, nullptr, progress);
+          CHECK(candidate.ok()) << candidate.status().ToString();
+          if (!chunk_best.valid || chunk_best.safe_and_live < *candidate) {
+            chunk_best.safe_and_live = *candidate;
             chunk_best.index = index;
             chunk_best.valid = true;
           }
@@ -76,11 +91,23 @@ PlacementResult OptimizeRackPlacement(const std::vector<double>& node_base_proba
           acc = partial;
         }
       });
+  if (IsCancelled(cancel)) {
+    return CancelledError("placement search cancelled");
+  }
   CHECK(best.valid);
   PlacementResult result;
-  result.rack_of = DecodeAssignment(best.index, n, racks);
+  result.rack_of.resize(static_cast<size_t>(n));
+  DecodeAssignment(best.index, racks, &result.rack_of);
   result.safe_and_live = best.safe_and_live;
   return result;
+}
+
+PlacementResult OptimizeRackPlacement(const std::vector<double>& node_base_probabilities,
+                                      const std::vector<double>& rack_probabilities) {
+  Result<PlacementResult> result =
+      TryOptimizeRackPlacement(node_base_probabilities, rack_probabilities);
+  CHECK(result.ok()) << result.status().ToString();
+  return *result;
 }
 
 }  // namespace probcon

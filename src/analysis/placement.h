@@ -10,9 +10,13 @@
 #ifndef PROBCON_SRC_ANALYSIS_PLACEMENT_H_
 #define PROBCON_SRC_ANALYSIS_PLACEMENT_H_
 
+#include <atomic>
+#include <cstdint>
 #include <vector>
 
 #include "src/analysis/reliability.h"
+#include "src/common/cancellation.h"
+#include "src/common/status.h"
 #include "src/prob/probability.h"
 
 namespace probcon {
@@ -28,7 +32,16 @@ Probability EvaluateRackPlacement(const std::vector<double>& node_base_probabili
                                   const std::vector<double>& rack_probabilities,
                                   const std::vector<int>& rack_of);
 
-// Exhaustive search over all rack assignments (r^n evaluations; n <= 10, r <= 5 enforced).
+// Exhaustive search over all rack assignments (r^n evaluations, each an exact 2^n
+// enumeration over 2^r rack events; n <= 10, r <= 5 enforced). Polls `cancel` before each
+// chunk of assignments and returns kCancelled once it fires; `progress`, when non-null,
+// accumulates evaluated configurations. Neither changes the result of a completed search.
+Result<PlacementResult> TryOptimizeRackPlacement(
+    const std::vector<double>& node_base_probabilities,
+    const std::vector<double>& rack_probabilities, const CancelToken* cancel = nullptr,
+    std::atomic<uint64_t>* progress = nullptr);
+
+// TryOptimizeRackPlacement without cancellation; CHECK-fails on error.
 PlacementResult OptimizeRackPlacement(const std::vector<double>& node_base_probabilities,
                                       const std::vector<double>& rack_probabilities);
 

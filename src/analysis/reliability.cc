@@ -1,6 +1,8 @@
 #include "src/analysis/reliability.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 
 #include "src/common/check.h"
 #include "src/exec/parallel.h"
@@ -51,58 +53,114 @@ Probability CountDpProbability(const FailurePredicate& predicate, const PoissonB
   return MassVerdict(holds_mass, fails_mass);
 }
 
-// Range-partitions the 2^N configuration space; each chunk accumulates compensated
-// holds/fails partial sums, merged in fixed chunk order so the result is bit-identical
-// for every thread count. A fired cancel token makes the remaining chunks bail at their
-// next poll (the partial results are then discarded by the caller). `progress`, when
-// non-null, accumulates evaluated configurations at the same poll boundaries.
-Result<Probability> ExactEnumerationProbability(const FailurePredicate& predicate,
-                                                const JointFailureModel& model,
-                                                const CancelToken* cancel,
-                                                std::atomic<uint64_t>* progress) {
+// Configurations are enumerated in aligned blocks, whose probabilities a model computes
+// together (JointFailureModel::ConfigurationProbabilities). Blocks start on cancellation
+// poll boundaries, so polls and progress flushes fall where a per-configuration loop put
+// them.
+constexpr uint64_t kEnumerationBlock = 1024;
+static_assert(kCancellationPollStride % kEnumerationBlock == 0);
+static_assert(kEnumerationChunk % kEnumerationBlock == 0);
+
+// A count-only predicate's verdict for every failure count 0..n, so the enumeration
+// indexes by popcount instead of calling the predicate per configuration. `valid` is false
+// when the predicate depends on which nodes failed.
+struct CountVerdicts {
+  bool valid = false;
+  std::array<bool, 26> holds{};  // Exact enumeration has n <= 25.
+};
+
+CountVerdicts TabulateCountVerdicts(const FailurePredicate& predicate, int n) {
+  CountVerdicts verdicts;
+  for (int k = 0; k <= n; ++k) {
+    const std::optional<bool> verdict = predicate.HoldsForCount(k, n);
+    if (!verdict.has_value()) {
+      return verdicts;
+    }
+    verdicts.holds[static_cast<size_t>(k)] = *verdict;
+  }
+  verdicts.valid = true;
+  return verdicts;
+}
+
+// One chunk [chunk_begin, chunk_end) of the enumeration: compensated holds/fails partial
+// sums in ascending configuration order. Bails with what it has at the first poll that
+// sees `cancel` fired; `progress`, when non-null, accumulates evaluated configurations at
+// the poll boundaries.
+MassPartial EnumerateChunk(const JointFailureModel& model, const FailurePredicate& predicate,
+                           const CountVerdicts& verdicts, uint64_t chunk_begin,
+                           uint64_t chunk_end, const CancelToken* cancel,
+                           std::atomic<uint64_t>* progress) {
+  const int n = model.n();
+  // Chunks are powers of two aligned to their size (2^14, or all 2^n configurations).
+  const uint64_t block = std::min(chunk_end - chunk_begin, kEnumerationBlock);
+  const int block_bits = std::countr_zero(block);
+  double probabilities[kEnumerationBlock];
+  MassPartial partial;
+  uint64_t reported = chunk_begin;
+  for (uint64_t first = chunk_begin; first < chunk_end; first += block) {
+    if ((first - chunk_begin) % kCancellationPollStride == 0) {
+      if (progress != nullptr && first > reported) {
+        progress->fetch_add(first - reported, std::memory_order_relaxed);
+        reported = first;
+      }
+      if (IsCancelled(cancel)) {
+        return partial;
+      }
+    }
+    CHECK(model.ConfigurationProbabilities(first, block_bits, probabilities))
+        << "model" << model.Describe() << "lacks exact configuration probabilities";
+    for (uint64_t x = 0; x < block; ++x) {
+      const FailureConfiguration config = first + x;
+      const bool holds = verdicts.valid ? verdicts.holds[CountFailures(config)]
+                                        : predicate.Holds(config, n);
+      (holds ? partial.holds : partial.fails).Add(probabilities[x]);
+    }
+  }
+  if (progress != nullptr && chunk_end > reported) {
+    progress->fetch_add(chunk_end - reported, std::memory_order_relaxed);
+  }
+  return partial;
+}
+
+void MergeMass(MassPartial& acc, MassPartial&& partial) {
+  acc.holds.Merge(partial.holds);
+  acc.fails.Merge(partial.fails);
+}
+
+}  // namespace
+
+// Range-partitions the 2^N configuration space into fixed chunks; each chunk accumulates
+// compensated holds/fails partial sums, merged in fixed chunk order so the result is
+// bit-identical for every thread count. A fired cancel token makes the remaining chunks
+// bail at their next poll (the partial results are then discarded).
+Result<Probability> TryExactEventProbability(const JointFailureModel& model,
+                                             const FailurePredicate& predicate,
+                                             const CancelToken* cancel,
+                                             std::atomic<uint64_t>* progress) {
   const int n = model.n();
   CHECK_LE(n, 25) << "exact enumeration limited to n <= 25";
   const uint64_t configurations = uint64_t{1} << n;
-  const MassPartial total = ParallelReduce<MassPartial>(
-      0, configurations, kEnumerationChunk, MassPartial{},
-      [&](uint64_t chunk_begin, uint64_t chunk_end, uint64_t /*chunk_index*/) {
-        MassPartial partial;
-        uint64_t reported = chunk_begin;
-        for (uint64_t config = chunk_begin; config < chunk_end; ++config) {
-          if ((config - chunk_begin) % kCancellationPollStride == 0) {
-            if (progress != nullptr && config > reported) {
-              progress->fetch_add(config - reported, std::memory_order_relaxed);
-              reported = config;
-            }
-            if (IsCancelled(cancel)) {
-              return partial;
-            }
-          }
-          const auto prob = model.ConfigurationProbability(config);
-          CHECK(prob.has_value()) << "model" << model.Describe()
-                                  << "lacks exact configuration probabilities";
-          if (predicate.Holds(config, n)) {
-            partial.holds.Add(*prob);
-          } else {
-            partial.fails.Add(*prob);
-          }
-        }
-        if (progress != nullptr && chunk_end > reported) {
-          progress->fetch_add(chunk_end - reported, std::memory_order_relaxed);
-        }
-        return partial;
-      },
-      [](MassPartial& acc, MassPartial&& partial) {
-        acc.holds.Merge(partial.holds);
-        acc.fails.Merge(partial.fails);
-      });
+  const CountVerdicts verdicts = TabulateCountVerdicts(predicate, n);
+  MassPartial total;
+  if (configurations <= kEnumerationChunk) {
+    // One chunk: run it here, merged exactly as ParallelReduce would, without the
+    // reduction's allocations (the placement search calls this once per assignment).
+    MergeMass(total,
+              EnumerateChunk(model, predicate, verdicts, 0, configurations, cancel, progress));
+  } else {
+    total = ParallelReduce<MassPartial>(
+        0, configurations, kEnumerationChunk, MassPartial{},
+        [&](uint64_t chunk_begin, uint64_t chunk_end, uint64_t /*chunk_index*/) {
+          return EnumerateChunk(model, predicate, verdicts, chunk_begin, chunk_end, cancel,
+                                progress);
+        },
+        MergeMass);
+  }
   if (IsCancelled(cancel)) {
     return CancelledError("exact enumeration cancelled");
   }
   return MassVerdict(total.holds, total.fails);
 }
-
-}  // namespace
 
 ReliabilityAnalyzer::ReliabilityAnalyzer(std::unique_ptr<JointFailureModel> model)
     : model_(std::move(model)) {
@@ -173,7 +231,7 @@ Result<Probability> ReliabilityAnalyzer::TryEventProbability(
       CHECK(independent != nullptr) << "count DP requires an independent model";
       return CountDpProbability(predicate, CountLaw(), n());
     case AnalysisMethod::kExact:
-      return ExactEnumerationProbability(predicate, *model_, cancel, progress);
+      return TryExactEventProbability(*model_, predicate, cancel, progress);
     case AnalysisMethod::kMonteCarlo: {
       MonteCarloOptions options;
       options.cancel = cancel;

@@ -162,6 +162,15 @@ class ReliabilityAnalyzer {
       PROBCON_GUARDED_BY(count_law_mutex_);
 };
 
+// The kExact strategy on its own: exact 2^N enumeration (n <= 25) of P(predicate holds)
+// under `model`, with TryEventProbability's cancellation and progress contract. For
+// callers that evaluate many models and would otherwise build an analyzer, and copy a
+// model, for each one (the placement search).
+Result<Probability> TryExactEventProbability(const JointFailureModel& model,
+                                             const FailurePredicate& predicate,
+                                             const CancelToken* cancel = nullptr,
+                                             std::atomic<uint64_t>* progress = nullptr);
+
 // --- Paper §3.2: protocol reliability reports -------------------------------
 
 struct ReliabilityReport {

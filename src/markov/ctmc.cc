@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/common/json.h"
 
 namespace probcon {
 namespace {
@@ -26,9 +27,19 @@ class DenseSystem {
 
 // Solves a x = b by LU factorization with partial pivoting. Returns false if `a` is
 // singular to working precision. Consumes `a`; on success `b` holds x.
+//
+// Elimination does only the updates that can change a nonzero value. A row whose
+// multiplier is exactly zero, and a pivot-row entry that is exactly zero, would subtract
+// +-0: that leaves every nonzero entry as it is and can at most flip the sign of a zero.
+// No later step turns a zero's sign into a nonzero difference (pivots are nonzero and
+// chosen by magnitude; products and sums with +-0 keep their nonzero operand exactly), so
+// every nonzero entry of x is bit-identical to full dense elimination's, and only a zero
+// entry's sign can differ.
 bool SolveInPlace(DenseSystem& a, Vector& b) {
   const size_t n = a.size();
   CHECK_EQ(b.size(), n);
+  std::vector<size_t> pivot_columns;  // Nonzero columns of the pivot row, right of col.
+  pivot_columns.reserve(n);
   for (size_t col = 0; col < n; ++col) {
     // Partial pivoting: pick the largest magnitude entry in this column at or below the
     // diagonal.
@@ -51,10 +62,19 @@ bool SolveInPlace(DenseSystem& a, Vector& b) {
       std::swap(b[col], b[pivot_row]);
     }
     const double pivot = a.At(col, col);
+    pivot_columns.clear();
+    for (size_t c = col + 1; c < n; ++c) {
+      if (a.At(col, c) != 0.0) {
+        pivot_columns.push_back(c);
+      }
+    }
     for (size_t r = col + 1; r < n; ++r) {
       const double factor = a.At(r, col) / pivot;
       a.At(r, col) = factor;
-      for (size_t c = col + 1; c < n; ++c) {
+      if (factor == 0.0) {
+        continue;
+      }
+      for (const size_t c : pivot_columns) {
         a.At(r, c) -= factor * a.At(col, c);
       }
     }
@@ -227,7 +247,16 @@ Result<double> Ctmc::TryMeanTimeToAbsorption(int start, const std::vector<int>& 
   if (options.progress != nullptr) {
     options.progress->fetch_add(1, std::memory_order_relaxed);
   }
-  return times[static_cast<size_t>(transient_index[start])];
+  // A mean time is positive. Dense elimination on an ill-conditioned -Q_TT (absorption
+  // many orders of magnitude rarer than the chain's other moves) can return a negative,
+  // zero or non-finite one; refuse it rather than answer with it.
+  const double time = times[static_cast<size_t>(transient_index[start])];
+  if (!std::isfinite(time) || !(time > 0.0)) {
+    return Status(StatusCode::kFailedPrecondition,
+                  "mean time to absorption lost to round-off (ill-conditioned system, "
+                  "solved value " + FormatDouble(time) + ")");
+  }
+  return time;
 }
 
 Result<Vector> Ctmc::TryTransientDistribution(const Vector& initial, double t,

@@ -58,7 +58,8 @@ class Ctmc {
   // Expected time to reach any state in `absorbing`, starting from `start`. States in
   // `absorbing` have their outgoing transitions ignored, and only the transient states
   // reachable from `start` enter the system. Fails (kFailedPrecondition) if absorption is
-  // not certain from `start`.
+  // not certain from `start`, or if the solved time is not finite and positive (round-off
+  // in an ill-conditioned system, where absorption is far rarer than the other moves).
   Result<double> TryMeanTimeToAbsorption(int start, const std::vector<int>& absorbing,
                                          const CtmcSolveOptions& options) const;
 

@@ -126,12 +126,12 @@ Result<Json> RunQuorumSize(const ServeRequest& request, const CancelToken* cance
   return result;
 }
 
-Result<Json> RunPlacement(const ServeRequest& request, const CancelToken* cancel) {
-  if (IsCancelled(cancel)) {
-    return CancelledError("placement search cancelled before start");
-  }
-  const PlacementResult placement =
-      OptimizeRackPlacement(request.node_probabilities, request.rack_probabilities);
+Result<Json> RunPlacement(const ServeRequest& request, const CancelToken* cancel,
+                          const EngineProgress& progress) {
+  Result<PlacementResult> searched = TryOptimizeRackPlacement(
+      request.node_probabilities, request.rack_probabilities, cancel, progress.enum_configs);
+  if (!searched.ok()) return searched.status();
+  const PlacementResult& placement = *searched;
   Json result = Json::Object();
   Json rack_of = Json::Array();
   for (int rack : placement.rack_of) {
@@ -444,7 +444,7 @@ Result<Json> ExecuteRequest(const ServeRequest& request, const CancelToken* canc
     case RequestKind::kQuorumSize:
       return RunQuorumSize(request, cancel);
     case RequestKind::kPlacement:
-      return RunPlacement(request, cancel);
+      return RunPlacement(request, cancel, progress);
     case RequestKind::kEndToEnd:
       return RunEndToEnd(request, cancel, progress);
     case RequestKind::kMonteCarlo:

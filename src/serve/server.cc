@@ -28,10 +28,6 @@ std::string ErrorResponse(uint64_t id, Status status) {
   return envelope.Serialize();
 }
 
-// Entry bound for the request-text memo. When full the memo is cleared wholesale — the
-// next requests repopulate it; a front cache needs no smarter eviction.
-constexpr size_t kRequestMemoCap = 4096;
-
 // The exact layout RequestEnvelope::Serialize emits. The fast-path scan accepts only this
 // layout, so the excised digit span is provably the top-level envelope id: any other field
 // order — including a payload whose params object places an "id" key first — fails the
@@ -116,6 +112,7 @@ QueryServer::QueryServer(ServerOptions options, MetricsRegistry* metrics)
     requests_counter_ = &metrics_->GetCounter("serve.requests");
     text_memo_hits_ = &metrics_->GetCounter("serve.text_memo.hits");
     text_memo_misses_ = &metrics_->GetCounter("serve.text_memo.misses");
+    text_memo_bytes_ = &metrics_->GetGauge("serve.text_memo.bytes");
     shed_counter_ = &metrics_->GetCounter("serve.shed");
     error_counter_ = &metrics_->GetCounter("serve.errors");
     deadline_counter_ = &metrics_->GetCounter("serve.deadline_exceeded");
@@ -356,10 +353,21 @@ void QueryServer::Submit(std::string payload, std::function<void(std::string)> d
     // Only engine kinds reach this point — ping and stats answered above — so a memo hit
     // can never route into those inline branches. Trace requests are excluded: their
     // responses carry per-request spans and must not be spliced from the cache.
+    const size_t entry_bytes = memo_text.size() + key.size();
     std::lock_guard<std::mutex> lock(memo_mutex_);
-    if (request_memo_.size() >= kRequestMemoCap) request_memo_.clear();
-    request_memo_.emplace(std::move(memo_text),
-                          TextMemoEntry{key, envelope.request.kind});
+    if (entry_bytes <= kRequestMemoBytes) {
+      if (request_memo_bytes_ + entry_bytes > kRequestMemoBytes) {
+        request_memo_.clear();
+        request_memo_bytes_ = 0;
+      }
+      if (request_memo_.emplace(std::move(memo_text), TextMemoEntry{key, envelope.request.kind})
+              .second) {
+        request_memo_bytes_ += entry_bytes;
+      }
+      if (text_memo_bytes_ != nullptr) {
+        text_memo_bytes_->Set(static_cast<double>(request_memo_bytes_));
+      }
+    }
   }
   std::string cached_text;
   if (cache_.TryGet(key, &cached_text)) {

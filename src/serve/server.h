@@ -95,6 +95,12 @@ struct ServerOptions {
 // submissions block (loopback) until responses complete.
 inline constexpr int kDefaultMaxInflightPerConn = 32;
 
+// Byte bound of the request-text memo (payload texts plus canonical keys). An entry is as
+// large as its payload, and payloads up to the frame limit can parse, so the memo is
+// bounded by bytes, not entries. It is cleared wholesale when the next entry would not
+// fit; a payload larger than the whole bound is never memoized.
+inline constexpr size_t kRequestMemoBytes = size_t{1} << 20;
+
 class QueryServer {
  public:
   // `metrics` may be nullptr (all instrumentation disabled); otherwise it must outlive
@@ -190,21 +196,24 @@ class QueryServer {
   // a repeat request (any id) skips JSON parsing and canonicalization — most of the
   // per-request CPU on a warm server. The excised text preserves every other byte, so two
   // payloads share an entry iff they differ only in the envelope id; entries are created
-  // only for successfully parsed, non-trace engine requests. Bounded (cleared wholesale
-  // when full): a front cache, never a source of truth. Lookups never iterate the map, so
-  // the unordered container stays within the determinism lint's rules.
+  // only for successfully parsed, non-trace engine requests. Bounded by the bytes of its
+  // texts and keys (kRequestMemoBytes), cleared wholesale when the next entry would not
+  // fit: a front cache, never a source of truth. Lookups never iterate the map, so the
+  // unordered container stays within the determinism lint's rules.
   struct TextMemoEntry {
     std::string cache_key;
     RequestKind kind = RequestKind::kPing;
   };
   std::mutex memo_mutex_ PROBCON_ACQUIRED_AFTER(state_mutex_);
   std::unordered_map<std::string, TextMemoEntry> request_memo_ PROBCON_GUARDED_BY(memo_mutex_);
+  size_t request_memo_bytes_ PROBCON_GUARDED_BY(memo_mutex_) = 0;  // Texts plus keys.
 
   // Pre-created instruments (nullptr when metrics are disabled). All of them are
   // internally thread-safe; no server lock is held while recording.
   Counter* requests_counter_ = nullptr;
   Counter* text_memo_hits_ = nullptr;
   Counter* text_memo_misses_ = nullptr;
+  Gauge* text_memo_bytes_ = nullptr;  // serve.text_memo.bytes: request_memo_bytes_.
   Counter* shed_counter_ = nullptr;
   Counter* error_counter_ = nullptr;
   Counter* deadline_counter_ = nullptr;

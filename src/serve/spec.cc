@@ -28,6 +28,10 @@ constexpr std::string_view kKindNames[kRequestKindCount] = {
 constexpr int kMaxClusterNodes = 200;       // count-DP paths are O(n^2); 200 is instant.
 constexpr int kMaxPlacementNodes = 10;      // OptimizeRackPlacement precondition.
 constexpr int kMaxPlacementRacks = 5;       // OptimizeRackPlacement precondition.
+// A placement search evaluates r^n assignments, each an exact 2^n enumeration over 2^r rack
+// events. About 1 ns per unit on one core, so the largest admissible search (8 nodes on 5
+// racks, 3.2e9) takes a few seconds; 10 nodes on 5 racks would take minutes.
+constexpr double kMaxPlacementCost = 4e9;
 constexpr uint64_t kMaxTrials = 1u << 30;   // ~1e9 Monte Carlo trials per request.
 
 // Fleet-lifecycle caps. The direct CTMC solvers are O(m^3) in the lumped state count m, so
@@ -541,6 +545,16 @@ Result<ServeRequest> ServeRequest::FromParams(RequestKind kind, const Json& para
         return InvalidArgumentError(std::string(kWhat) + ": placement search is limited to " +
                                     std::to_string(kMaxPlacementNodes) + " nodes and " +
                                     std::to_string(kMaxPlacementRacks) + " racks");
+      }
+      const int nodes = static_cast<int>(request.node_probabilities.size());
+      const int racks = static_cast<int>(request.rack_probabilities.size());
+      const double cost = std::pow(racks, nodes) * std::ldexp(1.0, nodes + racks);
+      if (cost > kMaxPlacementCost) {
+        return InvalidArgumentError(
+            std::string(kWhat) + ": placement search of " + std::to_string(nodes) +
+            " nodes on " + std::to_string(racks) + " racks costs " + FormatDouble(cost) +
+            " (racks^nodes * 2^nodes * 2^racks), over the " + FormatDouble(kMaxPlacementCost) +
+            " budget");
       }
       return request;
     }

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
+#include <vector>
 
+#include "src/analysis/placement.h"
 #include "src/analysis/reliability.h"
 #include "src/common/cancellation.h"
 
@@ -62,6 +65,45 @@ TEST(Cancellation, MidFlightCancelStopsALongMonteCarloRun) {
   token.Cancel();
   runner.join();
   EXPECT_TRUE(finished.load());
+}
+
+TEST(Cancellation, DeadlineStopsAPlacementSearchWithinASecond) {
+  // 10 nodes on 5 racks is 5^10 assignments: minutes of work if allowed to finish. The
+  // search polls before every chunk of assignments, so a token fired 50 ms in ends it
+  // promptly.
+  const std::vector<double> nodes(10, 0.01);
+  const std::vector<double> racks = {0.001, 0.002, 0.003, 0.004, 0.005};
+  CancelToken token;
+  std::atomic<uint64_t> configurations{0};
+  // NOLINTNEXTLINE(probcon-determinism): timing how promptly the cancelled search returns.
+  const auto started = std::chrono::steady_clock::now();
+  std::thread watchdog([&token] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    token.Cancel();
+  });
+  const Result<PlacementResult> result =
+      TryOptimizeRackPlacement(nodes, racks, &token, &configurations);
+  // NOLINTNEXTLINE(probcon-determinism): timing how promptly the cancelled search returns.
+  const auto elapsed = std::chrono::steady_clock::now() - started;
+  watchdog.join();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
+  EXPECT_GT(configurations.load(), 0u);  // Work was counted before the deadline.
+}
+
+TEST(Cancellation, UncancelledPlacementSearchMatchesAndCountsItsWork) {
+  const std::vector<double> nodes = {0.01, 0.03, 0.02, 0.05, 0.01};
+  const std::vector<double> racks = {0.002, 0.004, 0.001};
+  const PlacementResult plain = OptimizeRackPlacement(nodes, racks);
+  CancelToken unfired;
+  std::atomic<uint64_t> configurations{0};
+  const Result<PlacementResult> tracked =
+      TryOptimizeRackPlacement(nodes, racks, &unfired, &configurations);
+  ASSERT_TRUE(tracked.ok());
+  EXPECT_EQ(tracked->rack_of, plain.rack_of);
+  EXPECT_EQ(tracked->safe_and_live.complement(), plain.safe_and_live.complement());
+  EXPECT_EQ(configurations.load(), 243u * 32u);  // 3^5 assignments x 2^5 configurations.
 }
 
 TEST(Cancellation, UncancelledTryApisMatchThePlainApisBitForBit) {

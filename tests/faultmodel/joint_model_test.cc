@@ -1,6 +1,8 @@
 #include "src/faultmodel/joint_model.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -180,6 +182,96 @@ TEST(SamplersTest, BetaMeanMatchesMoments) {
     sum += x;
   }
   EXPECT_NEAR(sum / kTrials, 0.25, 0.01);
+}
+
+// ---------------------------------------------------------------------------
+// Block form: every aligned block's values are bit-identical to its members' singleton
+// values (a block of one), for every block size and start.
+
+void ExpectBlocksMatchSingletons(const JointFailureModel& model) {
+  const int n = model.n();
+  ASSERT_LE(n, 12);
+  const FailureConfiguration configurations = FailureConfiguration{1} << n;
+  std::vector<double> singles(configurations);
+  for (FailureConfiguration config = 0; config < configurations; ++config) {
+    const auto prob = model.ConfigurationProbability(config);
+    ASSERT_TRUE(prob.has_value());
+    singles[config] = *prob;
+  }
+  std::vector<double> block;
+  for (int bits = 0; bits <= n; ++bits) {
+    block.assign(FailureConfiguration{1} << bits, -1.0);
+    for (FailureConfiguration first = 0; first < configurations; first += block.size()) {
+      ASSERT_TRUE(model.ConfigurationProbabilities(first, bits, block.data()));
+      for (FailureConfiguration x = 0; x < block.size(); ++x) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(block[x]), std::bit_cast<uint64_t>(singles[first + x]))
+            << model.Describe() << " bits=" << bits << " config=" << first + x;
+      }
+    }
+  }
+}
+
+TEST(BlockFormTest, EveryModelsBlocksMatchItsSingletons) {
+  ExpectBlocksMatchSingletons(IndependentFailureModel({0.1, 0.2, 0.3, 0.9, 0.05, 0.5, 0.01}));
+  ExpectBlocksMatchSingletons(CommonCauseFailureModel({0.01, 0.02, 0.03, 0.04, 0.05, 0.06},
+                                                      0.1, {0.5, 0.6, 0.7, 0.8, 0.9, 1.0}));
+  ExpectBlocksMatchSingletons(FailureDomainModel({0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07},
+                                                 {0, 1, 2, 0, 1, 2, 0}, {0.05, 0.1, 0.2}));
+  ExpectBlocksMatchSingletons(BetaBinomialFailureModel(8, 0.5, 4.0));
+}
+
+TEST(BlockFormTest, CertainAndImpossibleNodes) {
+  // p = 0 and p = 1: configurations contradicting them are exactly 0, in blocks too.
+  const IndependentFailureModel model({0.0, 0.2, 1.0, 0.4});
+  ExpectBlocksMatchSingletons(model);
+  EXPECT_EQ(*model.ConfigurationProbability(0b0100), 0.8 * 0.6);
+  EXPECT_EQ(*model.ConfigurationProbability(0b0101), 0.0);  // Node 0 cannot fail.
+  EXPECT_EQ(*model.ConfigurationProbability(0b0000), 0.0);  // Node 2 must fail.
+  ExpectConfigurationsSumToOne(model);
+}
+
+TEST(BlockFormTest, CertainAndImpossibleDomainEvents) {
+  // Domain 0 never has an event, domain 1 always does: domain 1's members are certainly
+  // down, and the model reduces to independent failures of the others.
+  const FailureDomainModel model({0.1, 0.2, 0.3, 0.4, 0.5}, {0, 1, 0, 1, 2},
+                                 {0.0, 1.0, 0.25});
+  ExpectBlocksMatchSingletons(model);
+  ExpectConfigurationsSumToOne(model);
+  for (FailureConfiguration config = 0; config < 32; ++config) {
+    if (!NodeFailed(config, 1) || !NodeFailed(config, 3)) {
+      EXPECT_EQ(*model.ConfigurationProbability(config), 0.0) << config;
+    }
+  }
+  // Nodes 0 and 2 up, node 4 up: no domain-2 event and node 4's own survival.
+  EXPECT_NEAR(*model.ConfigurationProbability(0b01010), 0.9 * 0.7 * 0.75 * 0.5, 1e-15);
+}
+
+TEST(BlockFormTest, AllNodesInOneDomain) {
+  const double q = 0.03;
+  const std::vector<double> base = {0.01, 0.02, 0.05, 0.1};
+  const FailureDomainModel model(base, {0, 0, 0, 0}, {q});
+  ExpectBlocksMatchSingletons(model);
+  ExpectConfigurationsSumToOne(model);
+  const double none = (1.0 - q) * 0.99 * 0.98 * 0.95 * 0.9;
+  EXPECT_NEAR(*model.ConfigurationProbability(0b0000), none, 1e-15);
+  EXPECT_NEAR(*model.ConfigurationProbability(0b1111), q + (1.0 - q) * 0.01 * 0.02 * 0.05 * 0.1,
+              1e-15);
+  EXPECT_NEAR(*model.ConfigurationProbability(0b0001), (1.0 - q) * 0.01 * 0.98 * 0.95 * 0.9,
+              1e-15);
+}
+
+TEST(BlockFormTest, ReassignMatchesAFreshModel) {
+  const std::vector<double> base = {0.01, 0.02, 0.05, 0.1, 0.03};
+  const std::vector<double> domains = {0.02, 0.04};
+  FailureDomainModel reused(base, {0, 0, 0, 0, 0}, domains);
+  for (const std::vector<int>& domain_of :
+       {std::vector<int>{0, 1, 0, 1, 0}, std::vector<int>{1, 1, 1, 0, 0}}) {
+    reused.Reassign(domain_of);
+    const FailureDomainModel fresh(base, domain_of, domains);
+    for (FailureConfiguration config = 0; config < 32; ++config) {
+      EXPECT_EQ(*reused.ConfigurationProbability(config), *fresh.ConfigurationProbability(config));
+    }
+  }
 }
 
 TEST(HelpersTest, CountFailuresAndNodeFailed) {

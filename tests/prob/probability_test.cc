@@ -1,6 +1,7 @@
 #include "src/prob/probability.h"
 
 #include <cmath>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -113,6 +114,12 @@ struct FormatCase {
   double complement;
   const char* expected;
 };
+
+// Names each cell by its complement, so the ctest names do not print the struct's bytes
+// (the `expected` pointer among them), which change from one link to the next.
+void PrintTo(const FormatCase& format_case, std::ostream* os) {
+  *os << "q=" << format_case.complement;
+}
 
 class FormatPercentTest : public ::testing::TestWithParam<FormatCase> {};
 

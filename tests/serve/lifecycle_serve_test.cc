@@ -268,6 +268,32 @@ TEST(LifecycleServe, ReconfigurationWindowReportsJointQuorum) {
   EXPECT_GT(joint->NumberValue(), steady->NumberValue());
 }
 
+TEST(LifecycleServe, IllConditionedMeanTimeIsRefusedNotServedNegative) {
+  // Nine of twelve nodes down is ~1e18 hours away; dense elimination of -Q_TT loses that
+  // time to round-off and solved it as -4.58e18 hours, which was served. A mean time that
+  // is not finite and positive is now refused with FAILED_PRECONDITION instead, while the
+  // same fleet's shallower thresholds still answer.
+  const std::string fleet =
+      R"("protocol": "raft",
+         "fleet": {"classes": [{"count": 4, "failure_rate": 0.000624043193957022},
+                               {"count": 4, "failure_rate": 0.00013341651377850392},
+                               {"count": 4, "failure_rate": 0.0006469983465533522}],
+                   "repair_rate": 0.19977025635831785, "repair_servers": 2})";
+  const auto deep = Parse("availability", "{" + fleet + R"(, "loss_threshold": 9})");
+  ASSERT_TRUE(deep.ok()) << deep.status().ToString();
+  const Result<Json> refused = ExecuteRequest(*deep, nullptr);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+
+  const auto shallow = Parse("availability", "{" + fleet + R"(, "loss_threshold": 5})");
+  ASSERT_TRUE(shallow.ok()) << shallow.status().ToString();
+  const Result<Json> answered = ExecuteRequest(*shallow, nullptr);
+  ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+  const Json* mttql = answered->Find("mttql_hours");
+  ASSERT_NE(mttql, nullptr);
+  EXPECT_GT(mttql->NumberValue(), 0.0);
+}
+
 TEST(LifecycleServe, MissionReliabilityScheduleMode) {
   QueryServer server(ServerOptions{});
   ServeClient client(std::make_unique<LoopbackChannel>(server));

@@ -23,6 +23,7 @@
 #include "src/exec/thread_pool.h"
 #include "src/obs/metrics.h"
 #include "src/serve/client.h"
+#include "src/serve/engine.h"
 #include "src/serve/framing.h"
 #include "src/serve/server.h"
 #include "src/serve/spec.h"
@@ -343,6 +344,50 @@ TEST_F(PipelineTest, TextMemoFastPathIsByteIdenticalToFullSerialization) {
   auto traced = ResponseEnvelope::Parse(traced_text);
   ASSERT_TRUE(traced.ok());
   EXPECT_NE(traced->trace.type, Json::Type::kNull);
+}
+
+TEST_F(PipelineTest, TextMemoStaysWithinItsByteBound) {
+  StartTransport();
+
+  // Distinct 60-node payloads of over a KiB each: enough of them to overflow the memo's
+  // byte bound twice over. The bytes gauge must never exceed the bound, and a payload
+  // memoized after the last wholesale clear must still hit byte-identically.
+  const auto payload = [](int variant) {
+    Json probabilities = Json::Array();
+    for (int i = 0; i < 60; ++i) {
+      probabilities.Append(Json::Number(1e-3 + 1e-9 * (variant * 60 + i)));
+    }
+    Json fault = Json::Object();
+    fault.Set("probabilities", std::move(probabilities));
+    Json params = Json::Object();
+    params.Set("fault", std::move(fault));
+    return params;
+  };
+  const Gauge& memo_bytes = metrics_->GetGauge("serve.text_memo.bytes");
+  constexpr int kPayloads = 2400;
+  size_t payload_bytes = 0;
+  for (int v = 0; v < kPayloads; ++v) {
+    const std::string request = RequestEnvelope::Serialize(v, "table2", payload(v), 0.0);
+    payload_bytes += request.size();
+    auto response = ResponseEnvelope::Parse(server_->Handle(request));
+    ASSERT_TRUE(response.ok());
+    ASSERT_TRUE(response->status.ok()) << response->status.ToString();
+    EXPECT_LE(memo_bytes.value(), static_cast<double>(kRequestMemoBytes));
+  }
+  ASSERT_GT(payload_bytes, 2 * kRequestMemoBytes);  // The bound was really exercised.
+  EXPECT_GT(memo_bytes.value(), 0.0);
+
+  const uint64_t hits_before = metrics_->GetCounter("serve.text_memo.hits").value();
+  const std::string repeat = server_->Handle(
+      RequestEnvelope::Serialize(kPayloads + 1, "table2", payload(kPayloads - 1), 0.0));
+  EXPECT_EQ(metrics_->GetCounter("serve.text_memo.hits").value(), hits_before + 1);
+  auto repeated = ResponseEnvelope::Parse(repeat);
+  ASSERT_TRUE(repeated.ok());
+  EXPECT_TRUE(repeated->cached);
+  EXPECT_EQ(repeat, repeated->Serialize());
+  const ServeRequest fresh =
+      *ServeRequest::FromParams(RequestKind::kTable2, payload(kPayloads - 1));
+  EXPECT_EQ(WriteJson(repeated->result), WriteJson(*ExecuteRequest(fresh, nullptr)));
 }
 
 TEST_F(PipelineTest, StopWhileClientsAreMidBatchDoesNotRace) {

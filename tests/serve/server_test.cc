@@ -56,6 +56,31 @@ TEST(QueryServerTest, AnswersTable1AndMemoizesTheRepeat) {
   EXPECT_EQ(server.cache().snapshot().misses, 1u);
 }
 
+TEST(QueryServerTest, PlacementSearchOverItsCostBudgetIsRefusedAtParse) {
+  // 10 nodes on 5 racks: 5^10 assignments, each a 2^10 x 2^5 enumeration — minutes of CPU.
+  // The edge refuses it before any engine runs; the engine_cold shape (7 on 2) and the
+  // largest admissible search (8 on 5) pass the same check.
+  QueryServer server(ServerOptions{});
+  ServeClient client(std::make_unique<LoopbackChannel>(server));
+  const std::string nodes10 = "[0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01]";
+  const std::string racks5 = "[0.001, 0.002, 0.003, 0.004, 0.005]";
+  auto refused = client.Query("placement", Params(R"({"node_probabilities": )" + nodes10 +
+                                                  R"(, "rack_probabilities": )" + racks5 + "}"));
+  ASSERT_TRUE(refused.ok()) << refused.status().ToString();
+  EXPECT_EQ(refused->status.code(), StatusCode::kInvalidArgument) << refused->status.ToString();
+  EXPECT_EQ(server.cache().snapshot().misses, 0u);
+
+  auto small = client.Query("placement", Params(R"({"node_probabilities": [0.01, 0.02, 0.01,
+      0.03, 0.01, 0.02, 0.04], "rack_probabilities": [0.001, 0.002]})"));
+  ASSERT_TRUE(small.ok());
+  EXPECT_TRUE(small->status.ok()) << small->status.ToString();
+  EXPECT_TRUE(ServeRequest::FromParams(
+                  RequestKind::kPlacement,
+                  Params(R"({"node_probabilities": [0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01,
+                             0.01], "rack_probabilities": )" + racks5 + "}"))
+                  .ok());
+}
+
 TEST(QueryServerTest, PingAnswersInlineAndReportsDraining) {
   QueryServer server(ServerOptions{});
   ServeClient client(std::make_unique<LoopbackChannel>(server));
